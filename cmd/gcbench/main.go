@@ -64,45 +64,40 @@ import (
 	"strings"
 
 	"gcplus/internal/bench"
+	"gcplus/internal/router"
 )
 
+// presets returns gcbench's defaults for the serving flags: tracing
+// off, so the numbers measure the untraced fast path unless a rate is
+// asked for, and 4 shards in every mode (the chaos benchmark's own
+// default is 2). Every other knob keeps its zero meaning.
+func presets() router.Options {
+	return router.Options{Shards: 4, TraceSampleRate: -1}
+}
+
 func main() {
+	opts := presets()
+	opts.RegisterFlags(flag.CommandLine)
 	var (
 		scaleName = flag.String("scale", "repro", "experiment scale: smoke, repro or paper")
 		figure    = flag.String("figure", "", "figure to regenerate: 4, 5, 6 or all")
 		insights  = flag.Bool("insights", false, "print the §7.2 insight statistics")
 		ablation  = flag.String("ablation", "", "ablation study: policy, cachesize, validity, changerate or all")
-		methods   = flag.String("methods", "VF2,VF2+,GQL", "comma-separated Method M list")
+		methods   = flag.String("methods", "VF2,VF2+,GQL", "comma-separated Method M list (serving modes use the first unless -method is set)")
 		workloads = flag.String("workloads", "", "comma-separated workload list (default all six)")
 		seed      = flag.Int64("seed", 42, "experiment seed")
 		verbose   = flag.Bool("v", false, "print per-run progress")
 
 		throughput  = flag.Bool("throughput", false, "run the concurrent-serving throughput benchmark (JSON output)")
-		shards      = flag.Int("shards", 4, "throughput: server shard count")
 		clients     = flag.Int("clients", 8, "throughput: concurrent query clients")
 		tpQueries   = flag.Int("queries", 0, "throughput: total queries (default scale's query count)")
 		updateEvery = flag.Int("update-every", 50, "throughput: apply an update batch every N queries (0 disables)")
-		eager       = flag.Bool("eager", false, "throughput: validate shard caches at update time")
-		nocache     = flag.Bool("nocache", false, "throughput: serve through raw Method M")
-		verifyPar   = flag.Int("verify-parallelism", 0, "throughput: per-shard intra-query verification workers (0 = auto: GOMAXPROCS/shards, 1 = sequential)")
 		updateKind  = flag.String("update-kind", "add", "throughput: update stream shape: add (live ingest) or churn (UA/UR edge toggles on existing graphs)")
-		repairPar   = flag.Int("repair-parallelism", 0, "throughput: per-shard background cache-repair workers (0 = default of 1)")
-		norepair    = flag.Bool("norepair", false, "throughput: disable background cache repair (baseline for the churn scenario)")
-		cacheCap    = flag.Int("cache", 0, "throughput: per-shard cache capacity (0 = scale default; the query index targets 2000-10000)")
-		hitIndex    = flag.Bool("hit-index", true, "throughput: maintain the cache query index for sub-linear hit discovery (false = linear scan baseline)")
 		burst       = flag.Int("burst", 0, "throughput: flash-crowd mode — N extra query clients for the middle third of the run (0 disables)")
-		maxInflight = flag.Int("max-inflight-queries", 0, "throughput: server admission limit on concurrent queries (0 = serving default, negative = unlimited)")
-		planner     = flag.Bool("planner", false, "throughput: enable the cost-based query planner + compiled-plan cache (answers stay bit-identical to -planner=false)")
-		planCache   = flag.Int("plan-cache", 0, "throughput: per-shard compiled-plan cache size (0 = default of 256, negative = planning without plan caching; needs -planner)")
-		transport   = flag.String("transport", "local", "throughput/chaos/warm-restart: router→shard transport: local (in-process) or loopback (full wire path over 127.0.0.1 TCP)")
-		traceRate   = flag.Float64("trace-sample-rate", 0, "throughput: distributed-tracing head-sample rate for the run (0 = tracing off, the benchmark default)")
 		traceOver   = flag.Bool("trace-overhead", false, "throughput: rerun with every request traced and report the qps delta as trace_overhead (answers must stay bit-identical)")
 
-		chaos     = flag.Bool("chaos", false, "run the chaos benchmark: fault-injected WAL/snapshot I/O under load, abrupt kill, warm restart, differential answer check (JSON output)")
-		walPolicy = flag.String("wal-policy", "", "chaos: WAL append-failure policy: fail-update (default) or degrade-to-volatile")
-
+		chaos       = flag.Bool("chaos", false, "run the chaos benchmark: fault-injected WAL/snapshot I/O under load, abrupt kill, warm restart, differential answer check (JSON output)")
 		warmRestart = flag.Bool("warm-restart", false, "run the durability warm-restart benchmark: time-to-full-validity and hit-rate-at-t after crash recovery vs a cold start (JSON output)")
-		dataDir     = flag.String("data-dir", "", "warm-restart/chaos: durability directory (default: a fresh temp dir, removed after)")
 		tailBatches = flag.Int("tail-batches", 0, "warm-restart: churn batches applied after the snapshot, i.e. the WAL tail replayed on recovery (0 = default)")
 	)
 	flag.Parse()
@@ -121,6 +116,10 @@ func main() {
 		}
 	}
 	methodList := splitList(*methods)
+	if opts.Method == "" {
+		opts.Method = methodList[0]
+	}
+	var spec bench.WorkloadSpec // zero value: each mode's default
 	var specs []bench.WorkloadSpec
 	for _, name := range splitList(*workloads) {
 		spec, err := bench.SpecByName(name)
@@ -129,36 +128,22 @@ func main() {
 		}
 		specs = append(specs, spec)
 	}
+	if len(specs) > 0 {
+		spec = specs[0]
+	}
 
 	if *throughput {
-		var spec bench.WorkloadSpec // zero value: RunThroughput's default
-		if len(specs) > 0 {
-			spec = specs[0]
-		}
 		res, err := bench.RunThroughput(bench.ThroughputConfig{
-			Scale:              sc,
-			Workload:           spec,
-			Method:             methodList[0],
-			Shards:             *shards,
-			Clients:            *clients,
-			Queries:            *tpQueries,
-			UpdateEvery:        *updateEvery,
-			UpdateKind:         *updateKind,
-			EagerValidate:      *eager,
-			DisableCache:       *nocache,
-			VerifyParallelism:  *verifyPar,
-			RepairParallelism:  *repairPar,
-			DisableRepair:      *norepair,
-			CacheCapacity:      *cacheCap,
-			DisableHitIndex:    !*hitIndex,
-			BurstClients:       *burst,
-			MaxInFlightQueries: *maxInflight,
-			EnablePlanner:      *planner,
-			PlanCacheSize:      *planCache,
-			Transport:          *transport,
-			TraceSampleRate:    *traceRate,
-			TraceOverhead:      *traceOver,
-			Seed:               *seed,
+			Options:       opts,
+			Scale:         sc,
+			Workload:      spec,
+			Clients:       *clients,
+			Queries:       *tpQueries,
+			UpdateEvery:   *updateEvery,
+			UpdateKind:    *updateKind,
+			BurstClients:  *burst,
+			TraceOverhead: *traceOver,
+			Seed:          *seed,
 		}, progress)
 		if err != nil {
 			fatal(err)
@@ -168,22 +153,14 @@ func main() {
 		}
 	}
 	if *warmRestart {
-		var spec bench.WorkloadSpec
-		if len(specs) > 0 {
-			spec = specs[0]
-		}
 		res, err := bench.RunWarmRestart(bench.WarmRestartConfig{
-			Scale:         sc,
-			Workload:      spec,
-			Method:        methodList[0],
-			Shards:        *shards,
-			Queries:       *tpQueries,
-			CacheCapacity: *cacheCap,
-			UpdateEvery:   *updateEvery,
-			TailBatches:   *tailBatches,
-			DataDir:       *dataDir,
-			Transport:     *transport,
-			Seed:          *seed,
+			Options:     opts,
+			Scale:       sc,
+			Workload:    spec,
+			Queries:     *tpQueries,
+			UpdateEvery: *updateEvery,
+			TailBatches: *tailBatches,
+			Seed:        *seed,
 		}, progress)
 		if err != nil {
 			fatal(err)
@@ -193,22 +170,13 @@ func main() {
 		}
 	}
 	if *chaos {
-		var spec bench.WorkloadSpec
-		if len(specs) > 0 {
-			spec = specs[0]
-		}
 		res, err := bench.RunChaos(bench.ChaosConfig{
-			Scale:         sc,
-			Workload:      spec,
-			Method:        methodList[0],
-			Shards:        *shards,
-			Queries:       *tpQueries,
-			CacheCapacity: *cacheCap,
-			UpdateEvery:   *updateEvery,
-			WALPolicy:     *walPolicy,
-			DataDir:       *dataDir,
-			Transport:     *transport,
-			Seed:          *seed,
+			Options:     opts,
+			Scale:       sc,
+			Workload:    spec,
+			Queries:     *tpQueries,
+			UpdateEvery: *updateEvery,
+			Seed:        *seed,
 		}, progress)
 		if err != nil {
 			fatal(err)

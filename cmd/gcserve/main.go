@@ -38,23 +38,12 @@
 //	                              anomalous); /debug/traces/{id} expands
 //	                              one span tree
 //
-// Observability:
-//
-//	-slowlog-threshold 50ms       capture queries at/above 50ms wall time
-//	-trace-sample-rate 0.01       head-sample this fraction of requests
-//	                              into /debug/traces (anomalous requests
-//	                              are always retained; negative = off)
-//	-pprof-addr localhost:6060    serve net/http/pprof on a side listener
-//	-log-json                     structured logs as JSON lines
-//
-// Resilience (see README "Operating under failure"):
-//
-//	-query-timeout 2s             per-query deadline (504 when exceeded)
-//	-update-timeout 10s           per-update-batch deadline
-//	-max-inflight-queries 64      admission limit before shedding with 429
-//	-max-inflight-updates 16      same for update batches
-//	-wal-policy fail-update       or degrade-to-volatile
-//	-nodegrade                    disable graceful degradation under load
+// Flags: besides -addr, -dataset, -synthetic, -seed, -pprof-addr
+// (serve net/http/pprof on a side listener) and -log-json (structured
+// logs as JSON lines), every flag is a serving knob bound by
+// gcplus.ServeOptions.RegisterFlags; `gcserve -h` lists them and README
+// "Flags and options" maps each to its field. gcserve presets
+// -query-timeout 2s and -update-timeout 10s.
 //
 // Example:
 //
@@ -76,54 +65,32 @@ import (
 	"time"
 
 	"gcplus"
-	"gcplus/internal/cache"
 	"gcplus/internal/persist"
 )
 
+// presets returns gcserve's defaults for the serving flags: request
+// deadlines on. Every other knob keeps its zero meaning.
+func presets() gcplus.ServeOptions {
+	return gcplus.ServeOptions{QueryTimeout: 2 * time.Second, UpdateTimeout: 10 * time.Second}
+}
+
 func main() {
+	opts := presets()
+	opts.RegisterFlags(flag.CommandLine)
 	var (
 		addr      = flag.String("addr", ":8844", "listen address")
-		shards    = flag.Int("shards", 4, "number of runtime shards")
 		datafile  = flag.String("dataset", "", "initial dataset file (text codec); mutually exclusive with -synthetic")
 		synthN    = flag.Int("synthetic", 0, "generate an AIDS-like synthetic dataset of this many graphs")
 		seed      = flag.Int64("seed", 42, "synthetic dataset seed")
-		method    = flag.String("method", "VF2", "Method M verifier: VF2, VF2+ or GQL")
-		modelName = flag.String("model", "CON", "cache consistency model: CON or EVI")
-		policy    = flag.String("policy", "HD", "cache replacement policy: HD, PIN, PINC, LRU or LFU")
-		cacheCap  = flag.Int("cache", 100, "per-shard cache capacity")
-		window    = flag.Int("window", 20, "per-shard admission window size")
-		nocache   = flag.Bool("nocache", false, "disable GC+ caching (raw Method M baseline)")
-		eager     = flag.Bool("eager", false, "validate caches at update time instead of lazily at query time")
-		verifyPar = flag.Int("verify-parallelism", 0, "per-shard intra-query verification workers (0 = auto: GOMAXPROCS/shards, 1 = sequential)")
-		hitIndex  = flag.Bool("hit-index", true, "maintain the cache query index for sub-linear hit discovery (false = linear scan reference)")
-		planner   = flag.Bool("planner", false, "enable the cost-based query planner + compiled-plan cache (per-query algorithm choice; answers unchanged)")
-		planCache = flag.Int("plan-cache", 0, "per-shard compiled-plan cache size (0 = default of 256, negative = planning without plan caching; needs -planner)")
-		repairPar = flag.Int("repair-parallelism", 0, "per-shard background cache-repair workers (0 = default of 1)")
-		norepair  = flag.Bool("norepair", false, "disable background cache repair (invalidated bits stay dead until a query re-verifies them)")
-		dataDir   = flag.String("data-dir", "", "durability directory: WAL + snapshots for crash-safe warm restarts (empty = no persistence)")
-		snapEvery = flag.Int("snapshot-every", 0, "update batches between automatic snapshots (0 = default; needs -data-dir)")
-		nowal     = flag.Bool("nowal", false, "disable the write-ahead log, keeping snapshots only (a crash loses batches since the last snapshot)")
-		slowThr   = flag.Duration("slowlog-threshold", 0, "capture queries at/above this wall time into GET /debug/slowlog (0 = off)")
-		slowSize  = flag.Int("slowlog-size", 0, "slow-query ring capacity (0 = default of 128)")
-		traceRate = flag.Float64("trace-sample-rate", 0, "fraction of requests head-sampled into GET /debug/traces (0 = default of 0.01, negative = tracing off; anomalous requests are always retained)")
-		traceSize = flag.Int("trace-store-size", 0, "retained-trace ring capacity (0 = default of 256)")
-		readyMax  = flag.Int("ready-max-pending", 0, "readyz threshold: 503 while more invalidated pairs than this await repair (0 = default, negative = require empty backlog)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this side listener (e.g. localhost:6060; empty = off)")
 		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
-
-		queryTimeout  = flag.Duration("query-timeout", 2*time.Second, "per-query deadline; exceeding it returns 504 (0 = no deadline)")
-		updateTimeout = flag.Duration("update-timeout", 10*time.Second, "per-update-batch deadline; expiring before application returns 504 with nothing applied (0 = no deadline)")
-		maxQueries    = flag.Int("max-inflight-queries", 0, "admitted concurrent queries before shedding with 429 (0 = default of 64, negative = unlimited)")
-		maxUpdates    = flag.Int("max-inflight-updates", 0, "admitted concurrent update batches before shedding with 429 (0 = default of 16, negative = unlimited)")
-		walPolicy     = flag.String("wal-policy", "fail-update", "WAL append-failure policy: fail-update (503 the batch) or degrade-to-volatile (ack and raise the volatile-WAL alarm)")
-		transport     = flag.String("transport", "local", "router→shard transport: local (in-process) or loopback (each shard behind its own 127.0.0.1 TCP connection; the cluster seed)")
-		nodegrade     = flag.Bool("nodegrade", false, "disable graceful degradation under overload (no verify capping or cache bypass)")
 	)
 	flag.Parse()
 
 	logger := newLogger(*logJSON)
+	opts.Logger = logger
 
-	haveState := *dataDir != "" && persist.HasState(*dataDir)
+	haveState := opts.DataDir != "" && persist.HasState(opts.DataDir)
 	initial, err := loadDataset(*datafile, *synthN, *seed, haveState)
 	if err != nil {
 		fatal(logger, "dataset load failed", err)
@@ -131,45 +98,13 @@ func main() {
 	if haveState {
 		// The shard partition is baked into the persisted state; adopt
 		// its count so a bare `gcserve -data-dir DIR` restart just works.
-		if n, ok := persist.StateShards(*dataDir); ok && n != *shards {
-			logger.Warn("overriding -shards with persisted partition count",
-				"data_dir", *dataDir, "persisted_shards", n, "flag_shards", *shards)
-			*shards = n
+		if n, ok := persist.StateShards(opts.DataDir); ok && n != opts.Shards {
+			if opts.Shards != 0 {
+				logger.Warn("overriding -shards with persisted partition count",
+					"data_dir", opts.DataDir, "persisted_shards", n, "flag_shards", opts.Shards)
+			}
+			opts.Shards = n
 		}
-	}
-
-	opts := gcplus.ServeOptions{Shards: *shards, EagerValidate: *eager}
-	opts.Method = *method
-	opts.CacheSize = *cacheCap
-	opts.WindowSize = *window
-	opts.DisableCache = *nocache
-	opts.VerifyParallelism = *verifyPar
-	opts.RepairParallelism = *repairPar
-	opts.DisableRepair = *norepair
-	opts.DisableHitIndex = !*hitIndex
-	opts.EnablePlanner = *planner
-	opts.PlanCacheSize = *planCache
-	opts.DataDir = *dataDir
-	opts.SnapshotEvery = *snapEvery
-	opts.DisableWAL = *nowal
-	opts.SlowLogThreshold = *slowThr
-	opts.SlowLogSize = *slowSize
-	opts.TraceSampleRate = *traceRate
-	opts.TraceStoreSize = *traceSize
-	opts.ReadyMaxPendingRepairs = *readyMax
-	opts.QueryTimeout = *queryTimeout
-	opts.UpdateTimeout = *updateTimeout
-	opts.MaxInFlightQueries = *maxQueries
-	opts.MaxInFlightUpdates = *maxUpdates
-	opts.WALPolicy = *walPolicy
-	opts.DisableDegradation = *nodegrade
-	opts.Transport = *transport
-	opts.Logger = logger
-	if opts.Model, err = cache.ParseModel(*modelName); err != nil {
-		fatal(logger, "bad -model", err)
-	}
-	if opts.Policy, err = cache.ParsePolicy(*policy); err != nil {
-		fatal(logger, "bad -policy", err)
 	}
 
 	srv, err := gcplus.NewServer(initial, opts)
@@ -177,33 +112,33 @@ func main() {
 		fatal(logger, "server construction failed", err)
 	}
 
-	// Repair only runs for CON caches and the query index only exists
-	// when a cache does; report the resolved states, not the raw flags.
-	repairOn := !*norepair && !*nocache && opts.Model == cache.ModelCON
-	hitIndexOn := *hitIndex && !*nocache
 	if entries, epoch, ok := srv.Recovered(); ok {
-		logger.Info("warm restart", "data_dir", *dataDir, "cache_entries", entries, "epoch", epoch)
+		logger.Info("warm restart", "data_dir", opts.DataDir, "cache_entries", entries, "epoch", epoch)
 	}
 	st, err := srv.Stats()
 	if err != nil {
 		fatal(logger, "stats failed", err)
 	}
+	// Log the settings the server resolved, not the raw flags: repair
+	// runs only for CON caches, and the query index only with a cache.
+	run := srv.Options()
+	shardCache := st.PerShard[0].Cache
 	logger.Info("serving",
 		"addr", *addr, "graphs", st.LiveGraphs, "shards", srv.Shards(),
-		"method", *method, "model", *modelName, "policy", *policy,
-		"cache", *cacheCap, "eager", *eager, "repair", repairOn,
-		"hit_index", hitIndexOn, "planner", *planner, "durable", *dataDir != "",
-		"wal_policy", *walPolicy, "transport", *transport,
-		"query_timeout", queryTimeout.String(),
-		"max_inflight_queries", *maxQueries,
-		"slowlog_threshold", slowThr.String())
+		"method", run.Method, "model", shardCache.Model, "policy", shardCache.Policy,
+		"cache", shardCache.Capacity, "eager", run.EagerValidate, "repair", run.RepairParallelism > 0,
+		"hit_index", run.Cache != nil && !run.Cache.DisableHitIndex, "planner", run.EnablePlanner,
+		"durable", run.DataDir != "", "wal_policy", run.WALPolicy, "transport", st.Transport,
+		"query_timeout", run.QueryTimeout.String(),
+		"max_inflight_queries", run.MaxInFlightQueries,
+		"slowlog_threshold", run.SlowLogThreshold.String())
 
 	// Listener timeouts: a slow or stalled client must never hold a
 	// connection (and its admission slot) forever. The write timeout
 	// tracks the configured request deadlines so a legitimately long
 	// query is not cut off mid-response by the transport.
 	writeTimeout := 30 * time.Second
-	for _, d := range []time.Duration{*queryTimeout, *updateTimeout} {
+	for _, d := range []time.Duration{opts.QueryTimeout, opts.UpdateTimeout} {
 		if d > 0 && d+5*time.Second > writeTimeout {
 			writeTimeout = d + 5*time.Second
 		}

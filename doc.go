@@ -73,6 +73,20 @@
 //	_, err = srv.Update([]gcplus.UpdateOp{gcplus.NewAddOp(g), gcplus.NewDeleteOp(3)})
 //	http.ListenAndServe(":8844", srv.Handler())  // the cmd/gcserve API
 //
+// ServeOptions is the one list of serving knobs: shards, Method M, the
+// per-shard cache (Cache, a *CacheConfig; nil means the paper
+// defaults), repair, durability, tracing, admission and transport. Its
+// zero value serves 4 shards with the paper-default CON cache, and
+// ServeOptions.RegisterFlags binds every knob to the command-line flag
+// cmd/gcserve and cmd/gcbench accept for it (README "Flags and
+// options" has the table). For example:
+//
+//	opts := gcplus.ServeOptions{
+//		Shards:    2,
+//		Transport: gcplus.TransportLoopback,
+//		Cache:     &gcplus.CacheConfig{Capacity: 50, Model: gcplus.EVI},
+//	}
+//
 // Internally the Server is three layers: a router (placement, epoch
 // sequencing, fan-out/merge), per-shard hosts (runtime + cache + WAL
 // behind one worker goroutine), and a transport seam between them.

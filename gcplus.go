@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
-	"time"
 
 	"gcplus/internal/cache"
 	"gcplus/internal/changeplan"
@@ -263,110 +261,21 @@ func (s *System) CacheEntries() []CacheEntryInfo {
 	return out
 }
 
-// ServeOptions configures a Server. The embedded Options configure each
-// shard's runtime exactly like a single-threaded System, with one twist:
-// a zero VerifyParallelism here means GOMAXPROCS divided by the shard
+// ServeOptions configures a Server: shard count, Method M, the cache
+// (capacity, window, model, policy), repair, durability, tracing,
+// admission and transport. It is the serving layer's own options type,
+// so each field is documented once, in internal/router.Options, and
+// RegisterFlags binds every knob to the command-line flags cmd/gcserve
+// and cmd/gcbench accept. The zero value serves 4 shards, each with
+// the paper-default CON cache (capacity 100, window 20, HD policy) and
+// VF2; a zero VerifyParallelism means GOMAXPROCS divided by the shard
 // count (min 1), so shard-level and intra-query fan-out together stay
-// near the core count instead of oversubscribing it.
-type ServeOptions struct {
-	Options
-	// Shards is the number of runtime shards; each owns a partition of
-	// the dataset, its own GC+ cache and one worker goroutine
-	// (default 4).
-	Shards int
-	// EagerValidate reconciles shard caches (CON validation / EVI purge)
-	// at update time instead of lazily before the next query, trading
-	// update latency for query latency.
-	EagerValidate bool
-	// RepairParallelism bounds each shard's background repair worker:
-	// validity bits cleared by CON validation are re-verified off the
-	// query path and restored when the relation still holds, so
-	// update-heavy traffic stops bleeding hit rate. 0 means 1 worker per
-	// shard; see DisableRepair to turn the pipeline off.
-	RepairParallelism int
-	// DisableRepair disables background cache repair, leaving cleared
-	// validity bits dead until a future query re-verifies them on the
-	// hot path.
-	DisableRepair bool
-	// DataDir enables the durability subsystem: update batches are
-	// written to a per-shard WAL and dataset + cache state is
-	// snapshotted periodically under this directory, so a restarted
-	// server warm-restarts — same dataset, same warmed cache entries —
-	// instead of rebuilding from zero. A boot that finds recoverable
-	// state in DataDir ignores the initial graphs. Empty disables
-	// persistence.
-	DataDir string
-	// SnapshotEvery is the number of update batches between automatic
-	// snapshots (0 = the serving layer's default).
-	SnapshotEvery int
-	// DisableWAL keeps periodic snapshots but skips the write-ahead
-	// log: a crash loses the batches applied since the last snapshot.
-	DisableWAL bool
-	// NoSync skips the per-append WAL fsync (snapshots still fsync):
-	// batches survive a process crash but not a machine crash.
-	NoSync bool
-	// SlowLogThreshold enables the slow-query log: queries whose wall
-	// time reaches the threshold are captured (with their per-shard
-	// stage trace) into a bounded ring served at GET /debug/slowlog.
-	// Zero disables capture.
-	SlowLogThreshold time.Duration
-	// SlowLogSize bounds the slow-query ring (0 = default of 128).
-	SlowLogSize int
-	// TraceSampleRate is the distributed-tracing head-sampling rate: the
-	// fraction of requests whose full span tree — router admission,
-	// fan-out and merge plus every shard's queue/plan/consistency/hit/
-	// verify subtree — is collected and retained, served at
-	// GET /debug/traces. 0 means the serving layer's default (0.01);
-	// negative disables tracing. Anomalous requests (slow, error, shed,
-	// deadline-exceeded, degraded) are retained regardless of the rate.
-	TraceSampleRate float64
-	// TraceStoreSize bounds the in-memory trace store's normal ring
-	// (0 = default of 256); anomalous traces keep a reserved ring of a
-	// quarter that size.
-	TraceStoreSize int
-	// ReadyMaxPendingRepairs is the readiness threshold for GET /readyz:
-	// the endpoint reports 503 while the summed repair backlog exceeds
-	// it. 0 means the default repair-queue capacity; negative means 0
-	// (ready only with an empty backlog).
-	ReadyMaxPendingRepairs int
-	// QueryTimeout bounds each query's end-to-end latency: requests
-	// that exceed it are cancelled at the next cooperative checkpoint
-	// and fail with a deadline error (HTTP 504). Zero means no deadline
-	// beyond whatever context the caller supplies.
-	QueryTimeout time.Duration
-	// UpdateTimeout bounds each update batch the same way (a batch that
-	// already acquired the writer lock still applies atomically; the
-	// deadline is checked before application begins).
-	UpdateTimeout time.Duration
-	// MaxInFlightQueries bounds concurrently admitted queries; excess
-	// requests are shed immediately with an overload error (HTTP 429)
-	// instead of queueing without bound. 0 means the serving layer's
-	// default (64); negative disables admission control.
-	MaxInFlightQueries int
-	// MaxInFlightUpdates bounds concurrently admitted update batches
-	// the same way (default 16).
-	MaxInFlightUpdates int
-	// WALPolicy selects how a WAL append failure that survives retries
-	// is surfaced: WALPolicyFailUpdate (default) fails the update so
-	// callers know durability was not achieved; WALPolicyDegradeToVolatile
-	// acks the update and latches a volatile-WAL alarm instead. Either
-	// way the shard stops claiming durability for new batches until a
-	// snapshot rotation heals the gap.
-	WALPolicy string
-	// DisableDegradation turns the overload pressure controller off:
-	// the server never caps verify parallelism or serves cache-bypass
-	// under repair-backlog or queue pressure.
-	DisableDegradation bool
-	// Transport selects how the router reaches its shard hosts:
-	// TransportLocal (default) for direct in-process calls, or
-	// TransportLoopback to run every shard behind a real TCP connection
-	// on 127.0.0.1 — the cluster seed. Answers, epochs and durability
-	// semantics are identical over both.
-	Transport string
-	// Logger receives structured lifecycle events (recovery, snapshots,
-	// WAL failures, repair-queue pressure). Nil discards them.
-	Logger *slog.Logger
-}
+// near the core count.
+type ServeOptions = router.Options
+
+// CacheConfig configures each shard's GC+ cache (ServeOptions.Cache);
+// nil means the paper defaults.
+type CacheConfig = cache.Config
 
 // Shard transports for ServeOptions.Transport.
 const (
@@ -433,50 +342,17 @@ type Server struct {
 // which receive global ids 0..len(initial)-1 and are partitioned
 // round-robin across the shards.
 func NewServer(initial []*Graph, opts ServeOptions) (*Server, error) {
-	srvOpts := router.Options{
-		Shards:            opts.Shards,
-		Method:            opts.Method,
-		DisableCache:      opts.DisableCache,
-		EagerValidate:     opts.EagerValidate,
-		VerifyParallelism: opts.VerifyParallelism,
-		RepairParallelism: opts.RepairParallelism,
-		DisableRepair:     opts.DisableRepair,
-		DataDir:           opts.DataDir,
-		SnapshotEvery:     opts.SnapshotEvery,
-		DisableWAL:        opts.DisableWAL,
-		NoSync:            opts.NoSync,
-		SlowLogThreshold:  opts.SlowLogThreshold,
-		SlowLogSize:       opts.SlowLogSize,
-		TraceSampleRate:   opts.TraceSampleRate,
-		TraceStoreSize:    opts.TraceStoreSize,
-		EnablePlanner:     opts.EnablePlanner,
-		PlanCacheSize:     opts.PlanCacheSize,
-
-		ReadyMaxPendingRepairs: opts.ReadyMaxPendingRepairs,
-		QueryTimeout:           opts.QueryTimeout,
-		UpdateTimeout:          opts.UpdateTimeout,
-		MaxInFlightQueries:     opts.MaxInFlightQueries,
-		MaxInFlightUpdates:     opts.MaxInFlightUpdates,
-		WALPolicy:              opts.WALPolicy,
-		DisableDegradation:     opts.DisableDegradation,
-		Transport:              opts.Transport,
-		Logger:                 opts.Logger,
-	}
-	if !opts.DisableCache {
-		srvOpts.Cache = &cache.Config{
-			Capacity:        opts.CacheSize,
-			WindowSize:      opts.WindowSize,
-			Model:           opts.Model,
-			Policy:          opts.Policy,
-			DisableHitIndex: opts.DisableHitIndex,
-		}
-	}
-	srv, err := router.New(initial, srvOpts)
+	srv, err := router.New(initial, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Server{srv: srv}, nil
 }
+
+// Options returns the configuration the server runs with, defaults
+// resolved: RepairParallelism is 0 when background repair is off, and
+// Cache is nil when caching is off.
+func (s *Server) Options() ServeOptions { return s.srv.Options() }
 
 // SubgraphQuery returns all live dataset graphs containing q.
 func (s *Server) SubgraphQuery(q *Graph) (*ServerAnswer, error) {

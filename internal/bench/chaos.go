@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gcplus/internal/cache"
 	"gcplus/internal/changeplan"
 	"gcplus/internal/faultfs"
 	"gcplus/internal/persist"
@@ -30,35 +29,25 @@ import (
 
 // ChaosConfig sizes the chaos benchmark.
 type ChaosConfig struct {
+	// Options configures the system under test, its warm restart and
+	// the fault-free reference replica (which runs without persistence).
+	// Shards defaults to 2, SnapshotEvery to 3, the cache capacity to
+	// the stream length (so recovered entries can serve the
+	// post-restart pass) and the window to the Scale's. DataDir
+	// defaults to a fresh temporary directory, removed when the run
+	// ends.
+	router.Options
 	// Scale sizes the dataset (smoke/repro/paper).
 	Scale Scale
 	// Workload selects the query mix (default ZZ).
 	Workload WorkloadSpec
-	// Method names Method M's verifier (default VF2).
-	Method string
-	// Shards is the server's shard count (default 2).
-	Shards int
 	// Queries is the stream length (default Scale.Queries).
 	Queries int
-	// CacheCapacity is the per-shard capacity (default: the stream
-	// length, so recovered entries can serve the post-restart pass).
-	CacheCapacity int
 	// UpdateEvery interleaves one churn batch per this many queries
 	// (default 10).
 	UpdateEvery int
 	// OpsPerBatch is the churn batch size (default 5).
 	OpsPerBatch int
-	// WALPolicy selects the append-failure policy under test
-	// (default router.WALPolicyFailUpdate).
-	WALPolicy string
-	// DataDir is the durability directory (default: a fresh temporary
-	// directory, removed when the run ends).
-	DataDir string
-	// Transport selects the router→shard transport for the system under
-	// test and its warm restart ("local" default, or "loopback" for the
-	// full wire path). The fault-free reference replica always runs
-	// local — the oracle must stay independent of the seam under test.
-	Transport string
 	// Seed drives dataset, workload, churn and the fault schedule.
 	Seed int64
 }
@@ -67,17 +56,14 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.Workload.Name == "" {
 		c.Workload, _ = SpecByName("ZZ")
 	}
-	if c.Method == "" {
-		c.Method = "VF2"
-	}
 	if c.Shards <= 0 {
 		c.Shards = 2
 	}
+	if c.SnapshotEvery <= 0 {
+		c.SnapshotEvery = 3
+	}
 	if c.Queries <= 0 {
 		c.Queries = c.Scale.Queries
-	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = c.Queries
 	}
 	if c.UpdateEvery <= 0 {
 		c.UpdateEvery = 10
@@ -85,9 +71,7 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.OpsPerBatch <= 0 {
 		c.OpsPerBatch = 5
 	}
-	if c.WALPolicy == "" {
-		c.WALPolicy = router.WALPolicyFailUpdate
-	}
+	c.Options = withCacheDefaults(c.Options, c.Queries, c.Scale.WindowSize)
 	return c
 }
 
@@ -190,16 +174,9 @@ func RunChaos(cfg ChaosConfig, progress Progress) (*ChaosResult, error) {
 		}
 	}
 
-	opts := router.Options{
-		Shards:        cfg.Shards,
-		Method:        cfg.Method,
-		Cache:         &cache.Config{Capacity: cfg.CacheCapacity, WindowSize: cfg.Scale.WindowSize},
-		DataDir:       dir,
-		SnapshotEvery: 3,
-		WALPolicy:     cfg.WALPolicy,
-		Transport:     cfg.Transport,
-		Faults:        &router.FaultInjection{FS: ffs, ShardStall: stall, Now: skewedNow},
-	}
+	opts := cfg.Options
+	opts.DataDir = dir
+	opts.Faults = &router.FaultInjection{FS: ffs, ShardStall: stall, Now: skewedNow}
 	srvA, err := router.New(initial, opts)
 	if err != nil {
 		return nil, err
@@ -235,19 +212,20 @@ func RunChaos(cfg ChaosConfig, progress Progress) (*ChaosResult, error) {
 	}
 	defer ref.Close()
 
+	run := srvA.Options()
 	res := &ChaosResult{
 		Mode:      "chaos",
 		Scale:     cfg.Scale.Name,
 		Workload:  cfg.Workload.Name,
-		Method:    cfg.Method,
-		Shards:    cfg.Shards,
+		Method:    run.Method,
+		Shards:    run.Shards,
 		Queries:   len(queries),
-		WALPolicy: cfg.WALPolicy,
+		WALPolicy: run.WALPolicy,
 		Transport: srvA.Transport(),
 		Seed:      cfg.Seed,
 	}
 	if progress != nil {
-		progress("chaos: %d queries, policy %s, data dir %s", len(queries), cfg.WALPolicy, dir)
+		progress("chaos: %d queries, policy %s, data dir %s", len(queries), run.WALPolicy, dir)
 	}
 
 	// Background readers keep concurrent query load on the chaotic

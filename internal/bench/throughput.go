@@ -25,14 +25,14 @@ import (
 // future PRs a queries/sec + latency-percentile trajectory to compare
 // against.
 type ThroughputConfig struct {
+	// Options configures the server under test. A zero cache capacity
+	// or window takes the Scale's; the large-capacity scenarios the
+	// query index exists for run at 2000–10000.
+	router.Options
 	// Scale sizes dataset and workload (smoke/repro/paper).
 	Scale Scale
 	// Workload selects the query mix (default ZZ).
 	Workload WorkloadSpec
-	// Method names Method M's verifier (default VF2).
-	Method string
-	// Shards is the server's shard count (default 4).
-	Shards int
 	// Clients is the number of concurrent query goroutines (default 8).
 	Clients int
 	// Queries is the total number of queries issued across clients;
@@ -42,14 +42,6 @@ type ThroughputConfig struct {
 	// fill (repeating a short query list would collapse into isomorphic
 	// refreshes after the first lap).
 	Queries int
-	// CacheCapacity overrides the per-shard cache capacity when
-	// positive (Scale.CacheCapacity otherwise) — the large-capacity
-	// scenarios the query index exists for run at 2000–10000.
-	CacheCapacity int
-	// DisableHitIndex turns the cache query index off, so hit discovery
-	// linearly scans every cached entry: the baseline the index's
-	// hit-discovery speedup is measured against.
-	DisableHitIndex bool
 	// UpdateEvery applies one update batch of OpsPerBatch operations
 	// after every UpdateEvery queries (0 disables updates).
 	UpdateEvery int
@@ -61,19 +53,6 @@ type ThroughputConfig struct {
 	// scenario that invalidates cached validity bits and exercises the
 	// background repair pipeline.
 	UpdateKind string
-	// EagerValidate reconciles shard caches at update time.
-	EagerValidate bool
-	// DisableCache serves through raw Method M (baseline).
-	DisableCache bool
-	// VerifyParallelism bounds each shard's intra-query verification
-	// worker pool (0 = auto: GOMAXPROCS/shards min 1, 1 = sequential).
-	VerifyParallelism int
-	// RepairParallelism bounds each shard's background repair worker
-	// (0 = default of 1).
-	RepairParallelism int
-	// DisableRepair turns background cache repair off — the baseline the
-	// churn scenario compares hit-rate recovery against.
-	DisableRepair bool
 	// BurstClients, when positive, turns on the flash-crowd mode: that
 	// many extra query clients spin up once a third of the query budget
 	// has been claimed and stop at two thirds — an N× load spike in the
@@ -83,29 +62,6 @@ type ThroughputConfig struct {
 	// counted and dropped, never retried — the flash-crowd contract is
 	// fast failure.
 	BurstClients int
-	// MaxInFlightQueries caps concurrently admitted queries server-side
-	// (0 = the serving default, negative = unlimited) — the admission
-	// limit the burst slams into.
-	MaxInFlightQueries int
-	// EnablePlanner turns on each shard's cost-based query planner and
-	// compiled-plan cache. Answers are bit-identical to a planner-off run
-	// on the same seed — the planner ablation's invariant.
-	EnablePlanner bool
-	// PlanCacheSize bounds the per-shard compiled-plan cache (0 =
-	// default; negative disables plan caching but keeps cost-based
-	// algorithm selection). Only meaningful with EnablePlanner.
-	PlanCacheSize int
-	// Transport selects the router→shard transport: "local" (direct
-	// in-process dispatch, the default) or "loopback" (the full wire
-	// path — encode, TCP over 127.0.0.1, decode — on both legs).
-	// Answers are bit-identical across transports on the same seed;
-	// the per-query transport overhead is reported separately.
-	Transport string
-	// TraceSampleRate is the router's distributed-tracing head-sample
-	// rate for the run. Zero (the default) disables tracing entirely —
-	// benchmark numbers measure the untraced fast path unless a rate is
-	// asked for explicitly.
-	TraceSampleRate float64
 	// TraceOverhead measures the cost of tracing: the workload runs four
 	// passes in counterbalanced order — untraced, fully-traced, fully-
 	// traced, untraced — and the fractional delta between the two modes'
@@ -122,12 +78,6 @@ func (c ThroughputConfig) withDefaults() ThroughputConfig {
 	if c.Workload.Name == "" {
 		c.Workload, _ = SpecByName("ZZ")
 	}
-	if c.Method == "" {
-		c.Method = "VF2"
-	}
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
 	if c.Clients <= 0 {
 		c.Clients = 8
 	}
@@ -140,10 +90,41 @@ func (c ThroughputConfig) withDefaults() ThroughputConfig {
 	if c.UpdateKind == "" {
 		c.UpdateKind = UpdateKindAdd
 	}
-	if c.Transport == "" {
-		c.Transport = router.TransportLocal
-	}
 	return c
+}
+
+// withCacheDefaults returns o with a private copy of its cache config
+// in which a zero capacity or window takes the benchmark's value.
+func withCacheDefaults(o router.Options, capacity, window int) router.Options {
+	if o.DisableCache {
+		return o
+	}
+	var c cache.Config
+	if o.Cache != nil {
+		c = *o.Cache
+	}
+	if c.Capacity <= 0 {
+		c.Capacity = capacity
+	}
+	if c.WindowSize <= 0 {
+		c.WindowSize = window
+	}
+	o.Cache = &c
+	return o
+}
+
+// critTransport returns the transport overhead on res's critical path:
+// that of the shard whose queue wait, service and transport sum
+// largest, the one the router's fan-out waited for.
+func critTransport(res *router.QueryResult) time.Duration {
+	var worst, crit time.Duration = -1, 0
+	for i := range res.PerShard {
+		st := &res.PerShard[i]
+		if d := res.Queue[i] + st.QueryTime + st.Overhead + res.Transport[i]; d > worst {
+			worst, crit = d, res.Transport[i]
+		}
+	}
+	return crit
 }
 
 // shedBackoff is the pause a bench client takes after an admission
@@ -188,18 +169,22 @@ type ThroughputResult struct {
 	P95Millis     float64 `json:"p95_ms"`
 	P99Millis     float64 `json:"p99_ms"`
 	MeanMillis    float64 `json:"mean_ms"`
-	// Transport overhead per query, microseconds: the router-observed
-	// round trip minus the host-measured service time, summed over the
-	// query's shard dispatches. Near zero over the local transport;
-	// framing + TCP + scheduling over loopback. The qps delta between a
-	// local and a loopback run on the same seed is this series' macro
-	// twin.
-	TransportMeanMicros float64 `json:"transport_mean_us"`
-	TransportP50Micros  float64 `json:"transport_p50_us"`
-	TransportP99Micros  float64 `json:"transport_p99_us"`
-	SubIsoTests         float64 `json:"subiso_tests_per_query"`
-	HitRate             float64 `json:"hit_rate"`
-	LiveGraphs          int     `json:"live_graphs"`
+	// Transport overhead, microseconds: the router-observed round trip
+	// minus the host-measured service time. Call figures cover every
+	// shard call; critical-path figures take, per query, the transport
+	// of the shard the fan-out waited for (largest queue + service +
+	// transport), so they stay within the query's wall time. Near zero
+	// over the local transport; framing + TCP + scheduling over
+	// loopback.
+	TransportCallMeanMicros float64 `json:"transport_call_mean_us"`
+	TransportCallP50Micros  float64 `json:"transport_call_p50_us"`
+	TransportCallP99Micros  float64 `json:"transport_call_p99_us"`
+	TransportCritMeanMicros float64 `json:"transport_crit_mean_us"`
+	TransportCritP50Micros  float64 `json:"transport_crit_p50_us"`
+	TransportCritP99Micros  float64 `json:"transport_crit_p99_us"`
+	SubIsoTests             float64 `json:"subiso_tests_per_query"`
+	HitRate                 float64 `json:"hit_rate"`
+	LiveGraphs              int     `json:"live_graphs"`
 	// HitMsMean is the mean hit-discovery time per front-end query,
 	// summed across shards (milliseconds) — the series the query index
 	// drives down as capacity grows.
@@ -326,44 +311,14 @@ func runThroughputOnce(cfg ThroughputConfig, progress Progress) (*ThroughputResu
 			cfg.UpdateKind, UpdateKindAdd, UpdateKindChurn)
 	}
 
-	srvOpts := router.Options{
-		Shards:             cfg.Shards,
-		Method:             cfg.Method,
-		DisableCache:       cfg.DisableCache,
-		EagerValidate:      cfg.EagerValidate,
-		VerifyParallelism:  cfg.VerifyParallelism,
-		RepairParallelism:  cfg.RepairParallelism,
-		DisableRepair:      cfg.DisableRepair,
-		MaxInFlightQueries: cfg.MaxInFlightQueries,
-		EnablePlanner:      cfg.EnablePlanner,
-		PlanCacheSize:      cfg.PlanCacheSize,
-		Transport:          cfg.Transport,
-		// The router treats zero as "default rate"; the bench treats it
-		// as "off" so baselines never pay for sampling they didn't ask for.
-		TraceSampleRate: cfg.TraceSampleRate,
-	}
-	if srvOpts.TraceSampleRate <= 0 {
-		srvOpts.TraceSampleRate = -1
-	}
-	capacity := cfg.Scale.CacheCapacity
-	if cfg.CacheCapacity > 0 {
-		capacity = cfg.CacheCapacity
-	}
-	if !cfg.DisableCache {
-		srvOpts.Cache = &cache.Config{
-			Capacity:        capacity,
-			WindowSize:      cfg.Scale.WindowSize,
-			DisableHitIndex: cfg.DisableHitIndex,
-		}
-	}
-	srv, err := router.New(initial, srvOpts)
+	srv, err := router.New(initial, withCacheDefaults(cfg.Options, cfg.Scale.CacheCapacity, cfg.Scale.WindowSize))
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
 
 	if progress != nil {
-		progress("throughput: %d queries, %d clients, %d shards", cfg.Queries, cfg.Clients, cfg.Shards)
+		progress("throughput: %d queries, %d clients, %d shards", cfg.Queries, cfg.Clients, srv.Shards())
 	}
 
 	// One shared latency histogram across clients: lock-free atomic
@@ -371,10 +326,10 @@ func runThroughputOnce(cfg ThroughputConfig, progress Progress) (*ThroughputResu
 	// serving layer's /metrics exposes — a p99 in a BENCH_*.json and a
 	// p99 on a dashboard can never disagree about method.
 	hist := obs.NewHistogram()
-	// Per-query transport overhead (summed across shard dispatches),
-	// recorded only for the budgeted stream so local vs loopback runs
-	// compare like for like.
-	thist := obs.NewHistogram()
+	// Transport overhead per shard call and on each query's critical
+	// path, recorded only for the budgeted stream so local vs loopback
+	// runs compare like for like.
+	callHist, critHist := obs.NewHistogram(), obs.NewHistogram()
 	var (
 		wg        sync.WaitGroup
 		mu        sync.Mutex
@@ -539,11 +494,10 @@ func runThroughputOnce(cfg ThroughputConfig, progress Progress) (*ThroughputResu
 				default:
 					d := time.Since(t0)
 					hist.Observe(d)
-					var tsum time.Duration
 					for _, td := range res.Transport {
-						tsum += td
+						callHist.Observe(td)
 					}
-					thist.Observe(tsum)
+					critHist.Observe(critTransport(res))
 					if burst {
 						phaseHists[phase.Load()].Observe(d)
 					}
@@ -592,45 +546,51 @@ func runThroughputOnce(cfg ThroughputConfig, progress Progress) (*ThroughputResu
 		totalHitCands += ss.Metrics.HitCandidates.Mean * float64(ss.Metrics.HitCandidates.N)
 		totalHitScanned += ss.Metrics.HitScanned.Mean * float64(ss.Metrics.HitScanned.N)
 	}
+	// Record the resolved settings, not the raw config: the auto
+	// defaults (0) are machine-dependent, and trajectory entries must
+	// say what actually ran.
+	run := srv.Options()
 	res := &ThroughputResult{
-		Scale:         cfg.Scale.Name,
-		Workload:      cfg.Workload.Name,
-		Method:        cfg.Method,
-		Shards:        cfg.Shards,
-		Clients:       cfg.Clients,
-		UpdateKind:    cfg.UpdateKind,
-		EagerValidate: cfg.EagerValidate,
-		DisableCache:  cfg.DisableCache,
-		// Record the resolved worker counts, not the raw config: the auto
-		// defaults (0) are machine-dependent, and trajectory entries must
-		// say what actually ran.
-		VerifyPar:           router.ResolveVerifyParallelism(cfg.VerifyParallelism, cfg.Shards),
-		RepairPar:           router.ResolveRepairParallelism(cfg.RepairParallelism, !cfg.DisableRepair && !cfg.DisableCache),
-		CacheCapacity:       capacity,
-		HitIndex:            !cfg.DisableHitIndex && !cfg.DisableCache,
-		Planner:             cfg.EnablePlanner,
-		Transport:           srv.Transport(),
-		Seed:                cfg.Seed,
-		Queries:             int(hist.Count()),
-		UpdateBatches:       updateBatches,
-		OpsApplied:          opsApplied,
-		Epoch:               st.Epoch,
-		WallSeconds:         wall.Seconds(),
-		P50Millis:           hist.Quantile(0.50) * 1000,
-		P95Millis:           hist.Quantile(0.95) * 1000,
-		P99Millis:           hist.Quantile(0.99) * 1000,
-		MeanMillis:          hist.MeanSeconds() * 1000,
-		TransportMeanMicros: thist.MeanSeconds() * 1e6,
-		TransportP50Micros:  thist.Quantile(0.50) * 1e6,
-		TransportP99Micros:  thist.Quantile(0.99) * 1e6,
-		HitRate:             st.HitRate,
-		LiveGraphs:          st.LiveGraphs,
-		ValidityRatio:       st.ValidityRatio,
-		RepairedBits:        st.RepairedBits,
-		PendingRepairs:      st.PendingRepairs,
+		Scale:                   cfg.Scale.Name,
+		Workload:                cfg.Workload.Name,
+		Method:                  run.Method,
+		Shards:                  run.Shards,
+		Clients:                 cfg.Clients,
+		UpdateKind:              cfg.UpdateKind,
+		EagerValidate:           run.EagerValidate,
+		DisableCache:            run.DisableCache,
+		VerifyPar:               run.VerifyParallelism,
+		RepairPar:               run.RepairParallelism,
+		Planner:                 run.EnablePlanner,
+		Transport:               srv.Transport(),
+		Seed:                    cfg.Seed,
+		Queries:                 int(hist.Count()),
+		UpdateBatches:           updateBatches,
+		OpsApplied:              opsApplied,
+		Epoch:                   st.Epoch,
+		WallSeconds:             wall.Seconds(),
+		P50Millis:               hist.Quantile(0.50) * 1000,
+		P95Millis:               hist.Quantile(0.95) * 1000,
+		P99Millis:               hist.Quantile(0.99) * 1000,
+		MeanMillis:              hist.MeanSeconds() * 1000,
+		TransportCallMeanMicros: callHist.MeanSeconds() * 1e6,
+		TransportCallP50Micros:  callHist.Quantile(0.50) * 1e6,
+		TransportCallP99Micros:  callHist.Quantile(0.99) * 1e6,
+		TransportCritMeanMicros: critHist.MeanSeconds() * 1e6,
+		TransportCritP50Micros:  critHist.Quantile(0.50) * 1e6,
+		TransportCritP99Micros:  critHist.Quantile(0.99) * 1e6,
+		HitRate:                 st.HitRate,
+		LiveGraphs:              st.LiveGraphs,
+		ValidityRatio:           st.ValidityRatio,
+		RepairedBits:            st.RepairedBits,
+		PendingRepairs:          st.PendingRepairs,
 
 		PlanCacheHits:   st.PlanCacheHits,
 		PlanCacheMisses: st.PlanCacheMisses,
+	}
+	if run.Cache != nil {
+		res.CacheCapacity = run.Cache.Capacity
+		res.HitIndex = !run.Cache.DisableHitIndex
 	}
 	if wall > 0 {
 		res.QPS = float64(res.Queries) / wall.Seconds()

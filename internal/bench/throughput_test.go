@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gcplus/internal/obs"
+	"gcplus/internal/router"
 	"gcplus/internal/stats"
 )
 
@@ -15,8 +16,8 @@ func TestRunThroughputSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunThroughput(ThroughputConfig{
+		Options:     router.Options{Shards: 2},
 		Scale:       scale,
-		Shards:      2,
 		Clients:     3,
 		UpdateEvery: 10,
 		UpdateKind:  UpdateKindChurn,

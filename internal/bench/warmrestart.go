@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"gcplus/internal/cache"
 	"gcplus/internal/changeplan"
 	"gcplus/internal/graph"
 	"gcplus/internal/persist"
@@ -41,20 +40,20 @@ import (
 
 // WarmRestartConfig sizes the warm-restart benchmark.
 type WarmRestartConfig struct {
+	// Options configures every instance in the comparison: pre-restart,
+	// warm-restarted and cold baseline. The cache capacity defaults to
+	// the stream length, so the whole stream stays resident and the
+	// warm restart's recovered entries can serve every repeat, and the
+	// window to the Scale's. DataDir defaults to a fresh temporary
+	// directory, removed when the run ends; SnapshotEvery is ignored
+	// (snapshots are forced explicitly).
+	router.Options
 	// Scale sizes the dataset (smoke/repro/paper).
 	Scale Scale
 	// Workload selects the query mix (default ZZ).
 	Workload WorkloadSpec
-	// Method names Method M's verifier (default VF2).
-	Method string
-	// Shards is the server's shard count (default 4).
-	Shards int
 	// Queries is the stream length (default Scale.Queries).
 	Queries int
-	// CacheCapacity is the per-shard capacity (default: the stream
-	// length, so the whole stream stays resident and the warm restart's
-	// recovered entries can serve every repeat).
-	CacheCapacity int
 	// UpdateEvery interleaves one churn batch per this many fill-pass
 	// queries (default 25; 0 disables).
 	UpdateEvery int
@@ -64,13 +63,6 @@ type WarmRestartConfig struct {
 	// snapshot — the WAL tail recovery must replay and repair
 	// (default 4).
 	TailBatches int
-	// DataDir is the durability directory (default: a fresh temporary
-	// directory, removed when the run ends).
-	DataDir string
-	// Transport selects the router→shard transport for every instance
-	// in the comparison — pre-restart, warm-restarted and cold baseline
-	// run the same seam ("local" default, "loopback" for the wire path).
-	Transport string
 	// Seed drives dataset, workload and churn generation.
 	Seed int64
 }
@@ -79,18 +71,10 @@ func (c WarmRestartConfig) withDefaults() WarmRestartConfig {
 	if c.Workload.Name == "" {
 		c.Workload, _ = SpecByName("ZZ")
 	}
-	if c.Method == "" {
-		c.Method = "VF2"
-	}
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
 	if c.Queries <= 0 {
 		c.Queries = c.Scale.Queries
 	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = c.Queries
-	}
+	c.Options = withCacheDefaults(c.Options, c.Queries, c.Scale.WindowSize)
 	if c.UpdateEvery < 0 {
 		c.UpdateEvery = 0
 	} else if c.UpdateEvery == 0 {
@@ -185,16 +169,11 @@ func RunWarmRestart(cfg WarmRestartConfig, progress Progress) (*WarmRestartResul
 		// poison every metric; demand a fresh directory.
 		return nil, fmt.Errorf("bench: data dir %s already holds state; the warm-restart benchmark needs a fresh directory", dir)
 	}
-	persistOpts := router.Options{
-		Shards: cfg.Shards,
-		Method: cfg.Method,
-		Cache:  &cache.Config{Capacity: cfg.CacheCapacity, WindowSize: cfg.Scale.WindowSize},
-		// Snapshots are forced explicitly so the WAL tail is exactly
-		// TailBatches long; make the automatic trigger unreachable.
-		DataDir:       dir,
-		SnapshotEvery: 1 << 30,
-		Transport:     cfg.Transport,
-	}
+	persistOpts := cfg.Options
+	persistOpts.DataDir = dir
+	// Snapshots are forced explicitly so the WAL tail is exactly
+	// TailBatches long; make the automatic trigger unreachable.
+	persistOpts.SnapshotEvery = 1 << 30
 
 	srvA, err := router.New(initial, persistOpts)
 	if err != nil {
@@ -208,16 +187,19 @@ func RunWarmRestart(cfg WarmRestartConfig, progress Progress) (*WarmRestartResul
 			srvA.CloseAbrupt()
 		}
 	}()
+	run := srvA.Options()
 	res := &WarmRestartResult{
-		Mode:          "warm-restart",
-		Scale:         cfg.Scale.Name,
-		Workload:      cfg.Workload.Name,
-		Method:        cfg.Method,
-		Shards:        cfg.Shards,
-		Queries:       len(queries),
-		CacheCapacity: cfg.CacheCapacity,
-		Transport:     srvA.Transport(),
-		Seed:          cfg.Seed,
+		Mode:      "warm-restart",
+		Scale:     cfg.Scale.Name,
+		Workload:  cfg.Workload.Name,
+		Method:    run.Method,
+		Shards:    run.Shards,
+		Queries:   len(queries),
+		Transport: srvA.Transport(),
+		Seed:      cfg.Seed,
+	}
+	if run.Cache != nil {
+		res.CacheCapacity = run.Cache.Capacity
 	}
 
 	// Phase 1: fill pass with interleaved churn.

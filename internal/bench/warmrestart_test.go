@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"gcplus/internal/router"
 )
 
 // TestRunWarmRestartSmoke drives the whole warm-restart benchmark at a
@@ -16,8 +18,8 @@ func TestRunWarmRestartSmoke(t *testing.T) {
 	sc.DatasetGraphs = 60
 	sc.Queries = 40
 	res, err := RunWarmRestart(WarmRestartConfig{
+		Options:     router.Options{Shards: 2},
 		Scale:       sc,
-		Shards:      2,
 		UpdateEvery: 10,
 		TailBatches: 3,
 		Seed:        7,

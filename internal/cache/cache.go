@@ -35,6 +35,18 @@ func ParseModel(s string) (Model, error) {
 	return 0, fmt.Errorf("cache: unknown model %q (want CON or EVI)", s)
 }
 
+// MarshalText returns "CON" or "EVI".
+func (m Model) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses "CON" or "EVI".
+func (m *Model) UnmarshalText(b []byte) error {
+	v, err := ParseModel(string(b))
+	if err == nil {
+		*m = v
+	}
+	return err
+}
+
 // Config sizes and parameterizes a Cache. The defaults mirror §7.1: cache
 // capacity 100, window 20, HD replacement.
 type Config struct {

@@ -36,6 +36,23 @@ func ParsePolicy(s string) (Policy, error) {
 	return "", fmt.Errorf("cache: unknown policy %q (want PIN, PINC, HD, LRU or LFU)", s)
 }
 
+// MarshalText returns the policy name.
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p), nil }
+
+// UnmarshalText parses a policy name; empty means the default (HD), as
+// in Config.
+func (p *Policy) UnmarshalText(b []byte) error {
+	if len(b) == 0 {
+		*p = ""
+		return nil
+	}
+	v, err := ParsePolicy(string(b))
+	if err == nil {
+		*p = v
+	}
+	return err
+}
+
 // scoreAll computes the eviction score of every entry under the policy.
 // HD decides between PIN and PINC once per invocation, from the CoV² of
 // rvalues — the cache's full R distribution as documented by

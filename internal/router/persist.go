@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"gcplus/internal/dataset"
@@ -116,46 +117,16 @@ func (s *Server) enqueueSnapshotLocked(epoch uint64) <-chan error {
 	}
 	s.obs.noteTransport("snapshot", int64(len(s.clients)))
 	go func() {
-		defer s.snapMu.Unlock()
-		for range s.clients {
-			<-acks
-		}
-		var firstErr error
-		for i := range replies {
-			if err := replies[i].RotateErr; err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("serve: WAL rotation: %w", err)
-			}
-		}
-		for i := range replies {
-			if firstErr != nil {
-				break
-			}
-			payload := replies[i].Payload
-			if payload == nil {
-				var err error
-				payload, err = persist.EncodeShardSnapshot(replies[i].Snap)
-				if err != nil {
-					firstErr = fmt.Errorf("serve: snapshot shard %d: %w", i, err)
-					break
-				}
-			}
-			if err := persist.WriteSnapshotFileFS(s.store.FS(), s.store.SnapshotPath(i, epoch), i, payload); err != nil {
-				firstErr = fmt.Errorf("serve: snapshot shard %d: %w", i, err)
-			}
-		}
-		if firstErr == nil {
-			s.store.RemoveObsolete(epoch)
-			s.lastSnapshotEpoch.Store(epoch)
+		err := s.writeGeneration(epoch, replies, acks)
+		// Publish only once snapMu is free: a caller that sees this
+		// generation complete (done, Stats) and then crosses the next
+		// SnapshotEvery trigger must not have it dropped by
+		// maybeSnapshotLocked's TryLock. A later generation may have
+		// started and finished meanwhile, hence storeMax.
+		s.snapMu.Unlock()
+		if err == nil {
+			storeMax(&s.lastSnapshotEpoch, epoch)
 			s.snapshotsWritten.Add(1)
-			s.snapFailures.Store(0)
-			for _, h := range s.hosts {
-				// The generation itself proves everything ≤ epoch durable,
-				// and the rotation anchored a fresh segment — any open
-				// durability gap is healed. This is an in-process seam:
-				// the collector owns the files, so only it can know the
-				// generation is complete across all shards.
-				h.NoteSnapshotDurable(epoch)
-			}
 			if s.snapHist != nil {
 				s.snapHist.Observe(time.Since(start))
 			}
@@ -163,21 +134,79 @@ func (s *Server) enqueueSnapshotLocked(epoch uint64) <-chan error {
 				"epoch", epoch, "wall", time.Since(start),
 				"generations", s.snapshotsWritten.Load())
 		} else {
-			// Best-effort removal of the failed generation's files: a
-			// stray snap-<epoch> surviving here could later pair with a
-			// different attempt's files at the same epoch and
-			// masquerade as a complete generation.
-			for i := range s.hosts {
-				s.store.FS().Remove(s.store.SnapshotPath(i, epoch))
-			}
-			s.snapFailures.Add(1)
 			s.log.Error("snapshot generation failed", "epoch", epoch,
-				"consecutive_failures", s.snapFailures.Load(), "err", firstErr)
+				"consecutive_failures", s.snapFailures.Load(), "err", err)
 			s.scheduleSnapshotRetry()
 		}
-		done <- firstErr
+		done <- err
 	}()
 	return done
+}
+
+// writeGeneration collects the shards' snapshot replies for epoch and
+// writes the generation's files. Runs on the collector with snapMu held,
+// so the file writes and the obsolete-chain cleanup never race Close or
+// the next generation.
+func (s *Server) writeGeneration(epoch uint64, replies []shardhost.SnapshotReply, acks <-chan int) error {
+	for range s.clients {
+		<-acks
+	}
+	var firstErr error
+	for i := range replies {
+		if err := replies[i].RotateErr; err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("serve: WAL rotation: %w", err)
+		}
+	}
+	for i := range replies {
+		if firstErr != nil {
+			break
+		}
+		payload := replies[i].Payload
+		if payload == nil {
+			var err error
+			payload, err = persist.EncodeShardSnapshot(replies[i].Snap)
+			if err != nil {
+				firstErr = fmt.Errorf("serve: snapshot shard %d: %w", i, err)
+				break
+			}
+		}
+		if err := persist.WriteSnapshotFileFS(s.store.FS(), s.store.SnapshotPath(i, epoch), i, payload); err != nil {
+			firstErr = fmt.Errorf("serve: snapshot shard %d: %w", i, err)
+		}
+	}
+	if firstErr != nil {
+		// Best-effort removal of the failed generation's files: a
+		// stray snap-<epoch> surviving here could later pair with a
+		// different attempt's files at the same epoch and
+		// masquerade as a complete generation.
+		for i := range s.hosts {
+			s.store.FS().Remove(s.store.SnapshotPath(i, epoch))
+		}
+		s.snapFailures.Add(1)
+		return firstErr
+	}
+	s.store.RemoveObsolete(epoch)
+	s.snapFailures.Store(0)
+	for _, h := range s.hosts {
+		// The generation itself proves everything ≤ epoch durable,
+		// and the rotation anchored a fresh segment — any open
+		// durability gap is healed. This is an in-process seam:
+		// the collector owns the files, so only it can know the
+		// generation is complete across all shards. Under snapMu, so
+		// the heal can never land after a later generation's rotation.
+		h.NoteSnapshotDurable(epoch)
+	}
+	return nil
+}
+
+// storeMax monotonically raises a to at least v.
+func storeMax(a *atomic.Uint64, v uint64) {
+	for {
+		cur := a.Load()
+		if cur >= v || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // Recovered reports whether this server booted via warm-restart

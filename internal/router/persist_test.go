@@ -1,10 +1,13 @@
 package router
 
 import (
+	"context"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -519,6 +522,92 @@ func TestSnapshotAutoTriggerAndNoWAL(t *testing.T) {
 		}
 	}
 	requireSameAnswers(t, "nowal", probeAnswers(t, ref, queries), probeAnswers(t, rec, queries))
+}
+
+// TestSnapshotTriggerAfterObservedCompletion pins the ordering between
+// a generation's visible completion and the release of snapMu: once
+// Stats reports the generation, an Update crossing the next
+// SnapshotEvery trigger must start the next generation. The generation
+// at epoch 2 is held in its own success log line (after its files are
+// durable) while the test observes it and crosses epoch 4; a collector
+// that published completion before releasing snapMu would make that
+// trigger's TryLock fail, and nothing would retry it.
+func TestSnapshotTriggerAfterObservedCompletion(t *testing.T) {
+	initial := genGraphs(t, 20, 11)
+	opts := persistTestOptions(t.TempDir(), 2)
+	opts.SnapshotEvery = 2
+	gate := &gateHandler{epoch: 2, reached: make(chan struct{}), release: make(chan struct{})}
+	opts.Logger = slog.New(gate)
+	srv, err := New(initial, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release()
+
+	awaitSnapshot := func(epoch uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st, err := srv.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.LastSnapshotEpoch == epoch {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("snapshot generation at epoch %d never completed (last %d)", epoch, st.LastSnapshotEpoch)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	batches := deterministicBatches(initial, 4)
+	for _, ops := range batches[:2] {
+		if _, err := srv.Update(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-gate.reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the generation at epoch 2 never logged completion")
+	}
+	awaitSnapshot(2)
+	for _, ops := range batches[2:] {
+		if _, err := srv.Update(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	awaitSnapshot(4)
+}
+
+// gateHandler is a slog.Handler that holds the goroutine logging the
+// durable snapshot generation at epoch until release is closed.
+type gateHandler struct {
+	epoch            uint64
+	reached, release chan struct{}
+}
+
+func (h *gateHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *gateHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *gateHandler) WithGroup(string) slog.Handler            { return h }
+
+func (h *gateHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "snapshot generation durable" {
+		return nil
+	}
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "epoch" && a.Value.Uint64() == h.epoch {
+			close(h.reached)
+			<-h.release
+		}
+		return true
+	})
+	return nil
 }
 
 // TestStatsOpsFields pins the /stats operability additions: monotonic

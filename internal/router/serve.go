@@ -239,7 +239,8 @@ type Options struct {
 	// stats are bit-identical across transports; only the seam differs.
 	Transport string
 	// Faults installs the chaos harness's fault-injection hooks (nil in
-	// production). Deliberately not surfaced on the public facade.
+	// production). gcplus.ServeOptions carries the field, but its type
+	// is internal, so callers outside this module can only leave it nil.
 	Faults *FaultInjection
 
 	// pressureInterval overrides the controller's evaluation cadence in
@@ -283,11 +284,23 @@ func (o Options) withDefaults() Options {
 	if o.Method == "" {
 		o.Method = "VF2"
 	}
-	if o.Cache == nil && !o.DisableCache {
+	if o.DisableCache {
+		o.Cache = nil
+	} else if o.Cache == nil {
 		o.Cache = &cache.Config{}
 	}
-	o.VerifyParallelism = ResolveVerifyParallelism(o.VerifyParallelism, o.Shards)
-	o.RepairParallelism = ResolveRepairParallelism(o.RepairParallelism, o.repairEnabled())
+	if o.VerifyParallelism <= 0 {
+		// Keep shard fan-out times intra-query fan-out near the core count.
+		o.VerifyParallelism = max(1, runtime.GOMAXPROCS(0)/o.Shards)
+	}
+	// Repair runs only for CON caches (EVI purges wholesale, leaving
+	// nothing to repair) and not when disabled.
+	switch {
+	case o.DisableRepair || o.Cache == nil || o.Cache.Model != cache.ModelCON:
+		o.RepairParallelism = 0
+	case o.RepairParallelism < 1:
+		o.RepairParallelism = 1
+	}
 	if o.DataDir != "" && o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = DefaultSnapshotEvery
 	}
@@ -316,52 +329,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// repairEnabled reports whether the configuration supports background
-// repair: a CON cache (EVI purges wholesale — there is nothing to
-// repair) with repair not explicitly disabled.
-func (o Options) repairEnabled() bool {
-	return !o.DisableRepair && !o.DisableCache &&
-		o.Cache != nil && o.Cache.Model == cache.ModelCON
-}
-
 // DefaultRepairQueue is the per-shard bound on queued invalidated
 // (entry, graph) pairs awaiting repair. Beyond it the validator drops
 // pairs (they simply stay invalid), keeping repair memory bounded under
 // pathological churn.
 const DefaultRepairQueue = 4096
-
-// ResolveRepairParallelism returns the per-shard repair worker count a
-// Server with the given settings runs with: 0 when repair is disabled,
-// otherwise the configured value with a floor of 1. Exported so
-// harnesses recording benchmark configurations can log the effective
-// value.
-func ResolveRepairParallelism(repairPar int, enabled bool) int {
-	if !enabled {
-		return 0
-	}
-	if repairPar < 1 {
-		return 1
-	}
-	return repairPar
-}
-
-// ResolveVerifyParallelism returns the per-shard verification worker
-// count a Server with the given settings runs with: non-positive values
-// resolve to GOMAXPROCS divided by the shard count (min 1). Exported so
-// harnesses recording benchmark configurations can log the effective
-// value instead of the machine-dependent zero.
-func ResolveVerifyParallelism(verifyPar, shards int) int {
-	if verifyPar > 0 {
-		return verifyPar
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if vp := runtime.GOMAXPROCS(0) / shards; vp > 1 {
-		return vp
-	}
-	return 1
-}
 
 // location addresses one global graph id inside the shard space.
 type location struct {
@@ -847,6 +819,18 @@ func (s *Server) Shards() int { return len(s.hosts) }
 // Transport names the shard transport this server was built with
 // ("local" or "loopback").
 func (s *Server) Transport() string { return s.transportKind }
+
+// Options returns the configuration the server runs with: the Options
+// given to New with defaults resolved. RepairParallelism is 0 when
+// background repair is off, and Cache is nil when caching is off.
+func (s *Server) Options() Options {
+	o := s.opts
+	if o.Cache != nil {
+		c := *o.Cache
+		o.Cache = &c
+	}
+	return o
+}
 
 // Epoch returns the current dataset version (the number of update batches
 // applied so far).

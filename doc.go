@@ -121,6 +121,14 @@
 // pre-repair behavior. Stats report validity_ratio, repaired_bits and
 // pending_repairs per shard.
 //
+// The invalidation index is a slice indexed by each shard's dense graph
+// ids, holding per id the slots of the entries whose validity bit
+// covers that graph. An exact repeat hit refreshes its cached twin by
+// touching only the validity bits that changed — usually none — so the
+// paper's cache-maintenance overhead stays small next to the sub-iso
+// tests the hit saves. Each shard's cache stats report the index size
+// as index_pairs.
+//
 // # Query index
 //
 // Hit discovery — finding the cached queries that contain a new query

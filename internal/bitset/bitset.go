@@ -275,6 +275,24 @@ func (s *Set) ForEach(fn func(i int) bool) {
 	}
 }
 
+// ForEachAndNot calls fn for every bit set in s but not in o (s \ o), in
+// ascending order, without materializing the difference. If fn returns
+// false, iteration stops early. fn must not mutate s or o.
+func (s *Set) ForEachAndNot(o *Set, fn func(i int) bool) {
+	for wi, w := range s.words {
+		if wi < len(o.words) {
+			w &^= o.words[wi]
+		}
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			if !fn(wi*wordBits + b) {
+				return
+			}
+			w &= w - 1
+		}
+	}
+}
+
 // Indices returns the set bits in ascending order.
 func (s *Set) Indices() []int {
 	out := make([]int, 0, s.Count())

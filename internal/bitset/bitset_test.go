@@ -228,6 +228,53 @@ func TestForEachOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
+func TestForEachAndNot(t *testing.T) {
+	cases := []struct {
+		name  string
+		s, o  *Set
+		limit int // stop after this many visits; 0 = no limit
+		want  []int
+	}{
+		{"s longer than o", FromIndices(1, 5, 64, 200), FromIndices(5), 0, []int{1, 64, 200}},
+		{"o longer than s", FromIndices(1, 5, 64), FromIndices(1, 64, 300), 0, []int{5}},
+		{"disjoint", FromIndices(3, 130), FromIndices(4, 129), 0, []int{3, 130}},
+		{"equal", FromIndices(0, 63, 64), FromIndices(0, 63, 64), 0, nil},
+		{"empty s", &Set{}, FromIndices(2, 70), 0, nil},
+		{"empty o", FromIndices(2, 70), &Set{}, 0, []int{2, 70}},
+		{"both empty", New(128), &Set{}, 0, nil},
+		{"early stop", FromIndices(1, 2, 3, 100, 200), FromIndices(2), 2, []int{1, 3}},
+		{"early stop in later word", FromIndices(1, 100, 101, 200), FromIndices(1), 1, []int{100}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sBefore, oBefore := tc.s.Clone(), tc.o.Clone()
+			var got []int
+			tc.s.ForEachAndNot(tc.o, func(i int) bool {
+				got = append(got, i)
+				return tc.limit == 0 || len(got) < tc.limit
+			})
+			if len(got) != len(tc.want) {
+				t.Fatalf("visited %v, want %v", got, tc.want)
+			}
+			for i := range tc.want {
+				if got[i] != tc.want[i] {
+					t.Fatalf("visited %v, want %v", got, tc.want)
+				}
+			}
+			if tc.limit == 0 {
+				diff := tc.s.Clone()
+				diff.AndNot(tc.o)
+				if !FromIndices(got...).Equal(diff) {
+					t.Fatalf("visited %v, AndNot gives %v", got, diff)
+				}
+			}
+			if !tc.s.Equal(sBefore) || !tc.o.Equal(oBefore) {
+				t.Fatal("ForEachAndNot mutated an operand")
+			}
+		})
+	}
+}
+
 func TestIndices(t *testing.T) {
 	s := FromIndices(9, 0, 63, 64)
 	got := s.Indices()

@@ -127,7 +127,7 @@ type Cache struct {
 
 	// idx is the inverted invalidation index: graph id -> slots of
 	// entries whose Valid bit covers it (see index.go).
-	idx *invIndex
+	idx invIndex
 	// qidx is the query index backing sub-linear hit discovery (see
 	// qindex.go); nil when Config.DisableHitIndex is set.
 	qidx *queryIndex
@@ -155,7 +155,7 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, idx: newInvIndex()}
+	c := &Cache{cfg: cfg}
 	if !cfg.DisableHitIndex {
 		c.qidx = newQueryIndex(cfg.HitIndexPathLen)
 	}
@@ -344,6 +344,9 @@ type Stats struct {
 	RepairDropped int64 `json:"repair_dropped"`
 	// AppliedSeq is the dataset log sequence number the contents reflect.
 	AppliedSeq uint64 `json:"applied_seq"`
+	// IndexPairs is the number of (graph, entry) pairs in the inverted
+	// invalidation index — the set validity bits across all entries.
+	IndexPairs int `json:"index_pairs"`
 }
 
 // Stats snapshots the cache state and lifetime counters.
@@ -362,6 +365,7 @@ func (c *Cache) Stats() Stats {
 		RepairedBits:   c.repairedBits,
 		RepairDropped:  c.repairDropped,
 		AppliedSeq:     c.appliedSeq,
+		IndexPairs:     c.idx.pairs(),
 	}
 }
 

@@ -20,8 +20,10 @@ import (
 // (entry, graph) pairs an operation can invalidate — entries whose bit
 // is already dead cost nothing. Entry sets are bitsets over *slots*,
 // small dense indices recycled as entries are admitted and evicted, so
-// the index stays compact no matter how many graph ids or cache
-// generations the server has seen.
+// the index stays compact no matter how many cache generations the
+// server has seen. The isomorphic-repeat refresh (RefreshEntry) touches
+// only the bits whose validity changed, so an exact repeat hit costs a
+// word-wise comparison of two bitsets rather than an index rebuild.
 //
 // # Repair queue
 //
@@ -36,30 +38,45 @@ import (
 // pre-repair behavior.
 
 // invIndex maps a dataset graph id to the slots of entries whose Valid
-// bit covers it.
+// bit covers it. Graph ids are dense per shard (dataset.Add assigns the
+// next id), so byGraph is a slice indexed by id rather than a map; a
+// slot set, once allocated, is kept when it empties, so an id that goes
+// dark and is re-validated reuses it.
 type invIndex struct {
-	byGraph map[int]*bitset.Set
+	byGraph []*bitset.Set
+	// n is the number of (graph, entry) pairs indexed: the set bits
+	// across byGraph, maintained on every bit flip so pairs is O(1).
+	n int
 }
 
-func newInvIndex() *invIndex {
-	return &invIndex{byGraph: make(map[int]*bitset.Set)}
+// get returns the slot set of graph id, or nil if no entry has ever
+// been indexed under it.
+func (ix *invIndex) get(id int) *bitset.Set {
+	if id >= 0 && id < len(ix.byGraph) {
+		return ix.byGraph[id]
+	}
+	return nil
 }
 
 func (ix *invIndex) add(id, slot int) {
+	if id >= len(ix.byGraph) {
+		ix.byGraph = append(ix.byGraph, make([]*bitset.Set, id+1-len(ix.byGraph))...)
+	}
 	s := ix.byGraph[id]
 	if s == nil {
 		s = bitset.New(slot + 1)
 		ix.byGraph[id] = s
 	}
-	s.Set(slot)
+	if !s.Get(slot) {
+		s.Set(slot)
+		ix.n++
+	}
 }
 
 func (ix *invIndex) remove(id, slot int) {
-	if s := ix.byGraph[id]; s != nil {
+	if s := ix.get(id); s != nil && s.Get(slot) {
 		s.Clear(slot)
-		if s.None() {
-			delete(ix.byGraph, id)
-		}
+		ix.n--
 	}
 }
 
@@ -80,13 +97,7 @@ func (ix *invIndex) removeEntry(e *Entry) {
 }
 
 // pairs returns the total number of (graph, entry) pairs indexed.
-func (ix *invIndex) pairs() int {
-	n := 0
-	for _, s := range ix.byGraph {
-		n += s.Count()
-	}
-	return n
-}
+func (ix *invIndex) pairs() int { return ix.n }
 
 // RepairTask identifies one invalidated (entry, graph) pair queued for
 // off-path re-verification.
@@ -185,14 +196,21 @@ func (c *Cache) RestoreBit(e *Entry, id int, positive bool) bool {
 // RefreshEntry overwrites an entry's answer snapshot and validity
 // indicator in place — the isomorphic-hit admission path, where a
 // just-executed query refreshes its cached twin instead of duplicating
-// it. The index is rebuilt for the entry and its recency bumped.
+// it. Only the validity bits that change touch the index (an exact
+// repeat usually changes none), and the entry's recency is bumped.
 func (c *Cache) RefreshEntry(e *Entry, answer, valid *bitset.Set) {
-	c.idx.removeEntry(e)
+	e.Valid.ForEachAndNot(valid, func(id int) bool {
+		c.idx.remove(id, e.slot)
+		return true
+	})
+	valid.ForEachAndNot(e.Valid, func(id int) bool {
+		c.idx.add(id, e.slot)
+		return true
+	})
 	e.Answer.CopyFrom(answer)
 	e.Valid.CopyFrom(valid)
 	e.Seq = c.appliedSeq
 	e.LastUsed = c.Tick()
-	c.idx.addEntry(e)
 }
 
 // RepairCounters reports the lifetime repair counters: bits restored by
@@ -243,8 +261,7 @@ func (c *Cache) CheckIndex() error {
 			}
 			var badID int = -1
 			e.Valid.ForEach(func(id int) bool {
-				s := c.idx.byGraph[id]
-				if s == nil || !s.Get(e.slot) {
+				if s := c.idx.get(id); s == nil || !s.Get(e.slot) {
 					badID = id
 					return false
 				}
@@ -262,8 +279,17 @@ func (c *Cache) CheckIndex() error {
 	if err != nil {
 		return err
 	}
-	if got := c.idx.pairs(); got != seen {
-		return fmt.Errorf("cache: index holds %d pairs, entries hold %d valid bits", got, seen)
+	held := 0
+	for _, s := range c.idx.byGraph {
+		if s != nil {
+			held += s.Count()
+		}
+	}
+	if held != seen {
+		return fmt.Errorf("cache: index holds %d pairs, entries hold %d valid bits", held, seen)
+	}
+	if got := c.idx.pairs(); got != held {
+		return fmt.Errorf("cache: index pair counter %d, recount %d", got, held)
 	}
 	for _, t := range c.repairQ {
 		if t.Entry == nil {

@@ -267,3 +267,73 @@ func TestRefreshEntryReindexes(t *testing.T) {
 		t.Fatalf("Answer after refresh = %s", got)
 	}
 }
+
+// TestRefreshEntryDiffMatchesRebuild checks the diff-based RefreshEntry
+// against the remove-all/add-all rebuild it replaces: a parallel index
+// drops every old validity bit of the refreshed entry and re-adds every
+// new one, and after each refresh both must hold the same slot set for
+// every graph id and the same pair count. The refreshes add and remove
+// bits, and reach ids past the end of the index so the slice grows.
+func TestRefreshEntryDiffMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	c := New(Config{Capacity: 16, WindowSize: 4})
+	const maxID = 10
+	for i := 0; i < 10; i++ {
+		c.Add(randomEntry(rng, maxID))
+	}
+	var live []*Entry
+	var ref invIndex
+	c.ForEach(func(e *Entry) bool {
+		live = append(live, e)
+		ref.addEntry(e)
+		return true
+	})
+	requireIndex(t, c)
+	grew := false
+	for step := 0; step < 200; step++ {
+		e := live[rng.Intn(len(live))]
+		hi := maxID
+		if step%5 == 4 {
+			hi = len(c.idx.byGraph) + 1 + rng.Intn(100) // beyond the slice
+		}
+		answer, valid := &bitset.Set{}, &bitset.Set{}
+		for id := 0; id < hi; id++ {
+			if rng.Intn(3) == 0 {
+				answer.Set(id)
+			}
+			if rng.Intn(2) == 0 {
+				valid.Set(id)
+			}
+		}
+		before := len(c.idx.byGraph)
+		ref.removeEntry(e)
+		c.RefreshEntry(e, answer, valid)
+		ref.addEntry(e)
+		grew = grew || len(c.idx.byGraph) > before
+		requireIndex(t, c)
+		if !e.Valid.Equal(valid) || !e.Answer.Equal(answer) {
+			t.Fatalf("step %d: entry holds %v/%v, want %v/%v", step, e.Answer, e.Valid, answer, valid)
+		}
+		if c.idx.pairs() != ref.pairs() {
+			t.Fatalf("step %d: %d pairs, rebuild holds %d", step, c.idx.pairs(), ref.pairs())
+		}
+		for id := 0; id < max(len(c.idx.byGraph), len(ref.byGraph)); id++ {
+			got, want := c.idx.get(id), ref.get(id)
+			if got == nil {
+				got = &bitset.Set{}
+			}
+			if want == nil {
+				want = &bitset.Set{}
+			}
+			if !got.Equal(want) {
+				t.Fatalf("step %d graph %d: slots %v, rebuild %v", step, id, got, want)
+			}
+		}
+	}
+	if !grew {
+		t.Fatal("no refresh grew the index past its length")
+	}
+	if got := c.Stats().IndexPairs; got != ref.pairs() {
+		t.Fatalf("Stats().IndexPairs = %d, want %d", got, ref.pairs())
+	}
+}

@@ -35,63 +35,27 @@ import (
 // range returns false, which realizes Algorithm 2's lines 4–6 without an
 // explicit extension step.
 
-// Refresh applies Algorithm 2 to a single entry using the Log Analyzer's
-// counters, and advances the entry's reflected sequence number to seq.
-func (e *Entry) Refresh(c *dataset.Counters, seq uint64) {
-	e.refresh(c, seq, false)
-}
-
-// RefreshStrict invalidates every touched bit without the UA/UR-exclusive
-// survival rules — the ablated Algorithm 2 used to quantify how much of
-// CON's benefit the optimizations contribute (still correct, strictly
-// more conservative).
-func (e *Entry) RefreshStrict(c *dataset.Counters, seq uint64) {
-	e.refresh(c, seq, true)
-}
-
-func (e *Entry) refresh(c *dataset.Counters, seq uint64, strict bool) {
-	for id := range c.Total {
-		if strict {
-			e.Valid.Clear(id)
-			continue
-		}
-		keepPositive := c.UAExclusive(id)
-		keepNegative := c.URExclusive(id)
-		if e.Kind == KindSuper {
-			keepPositive, keepNegative = keepNegative, keepPositive
-		}
-		switch {
-		case keepPositive && e.Valid.Get(id) && e.Answer.Get(id):
-			// validity survives (Algorithm 2 line 12–13)
-		case keepNegative && e.Valid.Get(id) && !e.Answer.Get(id):
-			// validity survives (Algorithm 2 line 14–15)
-		default:
-			e.Valid.Clear(id) // Algorithm 2 line 17
-		}
-	}
-	e.Seq = seq
-}
-
 // Validate runs the Cache Validator over every cached and windowed entry
 // (the paper: "cached graphs/queries by default cover those previous
 // queries in both cache and window"). Counters must describe exactly the
 // log records in (AppliedSeq, seq]. When the cache was configured with
 // StrictInvalidation, the ablated rule is used.
 //
-// Unlike the per-entry Refresh sweep (kept above as the reference
-// semantics), Validate consults the inverted invalidation index: for
-// each touched graph id it visits only the entries whose Valid bit
-// actually covers that id — entries with a dead bit need no work, since
-// Algorithm 2 can only ever *clear* bits. Each bit it clears is queued
-// for background repair (when configured). The result is bit-identical
-// to running Refresh/RefreshStrict on every entry.
+// Rather than sweeping every entry per touched graph, Validate consults
+// the inverted invalidation index: for each touched graph id it visits
+// only the entries whose Valid bit actually covers that id — entries
+// with a dead bit need no work, since Algorithm 2 can only ever *clear*
+// bits. Each bit it clears is queued for background repair (when
+// configured). The result is bit-identical to applying the rules above
+// to every entry, which the package tests check against a per-entry
+// reference sweep.
 func (c *Cache) Validate(ctrs *dataset.Counters, seq uint64) {
 	strict := c.cfg.StrictInvalidation
 	touched := ctrs.TouchedIDs()
 	sort.Ints(touched) // counters are a map; fix the order so the repair queue is deterministic
 	for _, id := range touched {
-		slots := c.idx.byGraph[id]
-		if slots == nil {
+		slots := c.idx.get(id)
+		if slots == nil || slots.None() {
 			continue // no entry holds a live bit for this graph
 		}
 		keepPositive := ctrs.UAExclusive(id)

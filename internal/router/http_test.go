@@ -168,6 +168,14 @@ func TestHTTPQueryUpdateStats(t *testing.T) {
 	if len(st.PerShard) != 4 {
 		t.Fatalf("per-shard stats: %d entries", len(st.PerShard))
 	}
+	// Each shard caches the sub and the super query. The post-update sub
+	// query refreshed its entry to cover every live graph; the super
+	// entry covers at most every live graph.
+	for _, ps := range st.PerShard {
+		if n := ps.Cache.IndexPairs; n < ps.LiveGraphs || n > 2*ps.LiveGraphs {
+			t.Fatalf("shard %d index_pairs %d, want in [%d, %d]", ps.Shard, n, ps.LiveGraphs, 2*ps.LiveGraphs)
+		}
+	}
 }
 
 func TestHTTPErrors(t *testing.T) {

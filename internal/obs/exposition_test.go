@@ -15,7 +15,7 @@ func TestHelpEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("gc_hostile_help_total", "line one\nline \\two", nil)
 	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.WriteProm(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -38,12 +38,11 @@ func TestHelpEscaping(t *testing.T) {
 
 func TestHostileLabelValues(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("gc_hostile_label", "Hostile labels.", Labels{
+	r.GaugeFunc("gc_hostile_label", "Hostile labels.", Labels{
 		"path": "a\\b\"c\nd",
-	})
-	g.Set(1)
+	}, func(any) float64 { return 1 })
 	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.WriteProm(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -65,7 +64,7 @@ func TestExemplarExposition(t *testing.T) {
 	h.SetExemplar(time.Duration(1)<<40, 0x2)
 
 	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.WriteProm(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

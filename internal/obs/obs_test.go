@@ -189,7 +189,7 @@ func TestExpositionNoNaN(t *testing.T) {
 		h.ObserveSeconds(s)
 	}
 	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.WriteProm(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -261,15 +261,22 @@ func TestRegistryWriteProm(t *testing.T) {
 	c := r.Counter("gc_requests_total", "Total requests.", nil)
 	c.Add(41)
 	c.Inc()
-	g := r.Gauge("gc_temperature", "Current temperature.", Labels{"room": "a"})
-	g.Set(3.5)
+	// Function-backed series read the snapshot handed to WriteProm.
+	type reading struct {
+		temp  float64
+		trips int64
+	}
+	r.GaugeFunc("gc_temperature", "Current temperature.", Labels{"room": "a"},
+		func(snap any) float64 { return snap.(*reading).temp })
+	r.CounterFunc("gc_trips_total", "Breaker trips.", nil,
+		func(snap any) int64 { return snap.(*reading).trips })
 	h := r.Histogram("gc_latency_seconds", "Latency.", Labels{"shard": "0", "stage": "query"})
 	h.Observe(3 * time.Millisecond)
 	h.Observe(40 * time.Microsecond)
 	h.Observe(2 * time.Second)
 
 	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
+	if err := r.WriteProm(&b, &reading{temp: 3.5, trips: 7}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -282,6 +289,8 @@ func TestRegistryWriteProm(t *testing.T) {
 		"gc_requests_total 42",
 		"# TYPE gc_temperature gauge",
 		`gc_temperature{room="a"} 3.5`,
+		"# TYPE gc_trips_total counter",
+		"gc_trips_total 7",
 		"# TYPE gc_latency_seconds histogram",
 		`gc_latency_seconds_bucket{shard="0",stage="query",le="+Inf"} 3`,
 		`gc_latency_seconds_count{shard="0",stage="query"} 3`,
@@ -330,5 +339,5 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("kind mismatch did not panic")
 		}
 	}()
-	r.Gauge("mix_total", "", Labels{"a": "1"})
+	r.GaugeFunc("mix_total", "", Labels{"a": "1"}, func(any) float64 { return 0 })
 }

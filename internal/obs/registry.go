@@ -11,10 +11,7 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing counter. Set exists so a
-// serving layer can mirror a counter that is authoritatively tracked
-// elsewhere (a shard-owned lifetime counter snapshotted at scrape time);
-// callers must only ever Set monotonically non-decreasing values.
+// Counter is a monotonically increasing counter recorded live.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n (n must be ≥ 0).
@@ -23,20 +20,8 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Set overwrites the counter with a snapshot of its source.
-func (c *Counter) Set(n int64) { c.v.Store(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a float64 value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set overwrites the gauge.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Labels name one instrument's label set, e.g. {"shard": "0"}. Labels
 // are rendered sorted by name, so two equal maps always produce the
@@ -91,11 +76,13 @@ const (
 	kindHistogram = "histogram"
 )
 
-// sample is one registered instrument under a family.
+// sample is one registered series under a family. Counter and gauge
+// samples read their value from the snapshot WriteProm was given (a live
+// Counter ignores it); histogram samples render h.
 type sample struct {
 	labels string // pre-rendered
-	c      *Counter
-	g      *Gauge
+	count  func(snap any) int64
+	gauge  func(snap any) float64
 	h      *Histogram
 }
 
@@ -108,9 +95,9 @@ type family struct {
 	samples []*sample
 }
 
-// Registry holds registered instruments and renders them in the
-// Prometheus text exposition format (version 0.0.4). Registration
-// happens at boot; rendering may run concurrently with recording.
+// Registry holds registered series and renders them in the Prometheus
+// text exposition format (version 0.0.4). Registration happens at boot;
+// rendering may run concurrently with recording and with other renders.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
@@ -148,18 +135,24 @@ func (r *Registry) add(name, help, kind string, s *sample) {
 	f.samples = append(f.samples, s)
 }
 
-// Counter registers and returns a new counter series.
+// Counter registers and returns a new live counter series.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	c := &Counter{}
-	r.add(name, help, kindCounter, &sample{labels: labels.render(), c: c})
+	r.CounterFunc(name, help, labels, func(any) int64 { return c.Value() })
 	return c
 }
 
-// Gauge registers and returns a new gauge series.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.add(name, help, kindGauge, &sample{labels: labels.render(), g: g})
-	return g
+// CounterFunc registers a counter series whose value fn reads from the
+// snapshot passed to WriteProm; fn must be monotone over the snapshots
+// one process renders.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func(snap any) int64) {
+	r.add(name, help, kindCounter, &sample{labels: labels.render(), count: fn})
+}
+
+// GaugeFunc registers a gauge series whose value fn reads from the
+// snapshot passed to WriteProm.
+func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func(snap any) float64) {
+	r.add(name, help, kindGauge, &sample{labels: labels.render(), gauge: fn})
 }
 
 // Histogram registers and returns a new histogram series.
@@ -176,9 +169,10 @@ func (r *Registry) RegisterHistogram(name, help string, labels Labels, h *Histog
 }
 
 // WriteProm renders every registered family in the Prometheus text
-// exposition format. Families appear in registration order, samples in
-// registration order within a family.
-func (r *Registry) WriteProm(w io.Writer) error {
+// exposition format, reading every function-backed sample from snap, so
+// one rendering never mixes two snapshots. Families appear in
+// registration order, samples in registration order within a family.
+func (r *Registry) WriteProm(w io.Writer, snap any) error {
 	r.mu.Lock()
 	fams := make([]*family, len(r.families))
 	copy(fams, r.families)
@@ -193,9 +187,9 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		for _, s := range f.samples {
 			switch f.kind {
 			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.c.Value())
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.count(snap))
 			case kindGauge:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.g.Value()))
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.gauge(snap)))
 			case kindHistogram:
 				les, cums, total, sum := s.h.promBuckets()
 				for i, le := range les {

@@ -255,18 +255,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleMetrics renders the Prometheus exposition: one epoch-consistent
-// Stats snapshot refreshes the mirrored gauges/counters, then the
-// registry — live histograms included — is written out.
+// handleMetrics renders the Prometheus exposition: every snapshot series
+// is read from one epoch-consistent Stats snapshot taken for this
+// scrape, next to the live histograms and counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Stats()
 	if err != nil {
 		httpError(w, statusOf(err), "metrics failed: %v", err)
 		return
 	}
-	s.obs.mirror(st)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.obs.reg.WriteProm(w)
+	_ = s.obs.reg.WriteProm(w, st)
 }
 
 // handleHealthz is liveness: the process is up and the server accepts

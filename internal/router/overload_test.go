@@ -152,7 +152,7 @@ func TestQueryDeadlineWhileShardBlocked(t *testing.T) {
 	if st.DeadlineExceeded < 2 {
 		t.Fatalf("deadline counter %d, want >= 2", st.DeadlineExceeded)
 	}
-	if n := st.deadlineByStage["update"]; n != 1 {
+	if n := st.deadlineByStage[deadlineStage("update")]; n != 1 {
 		t.Fatalf("update-stage deadline count %d, want 1", n)
 	}
 	// Epoch unchanged: the rejected update really applied nothing.

@@ -56,6 +56,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -423,37 +424,33 @@ type Server struct {
 	snapFailures     atomic.Int64
 }
 
-// deadlineCounters tallies deadline expiries by the stage the request
-// was in when it gave up, mirrored to
-// gcplus_deadline_exceeded_total{stage}. "wait" is the front-end
-// abandoning still-running shard jobs; "queue" is a shard job finding
-// the deadline already expired before it started; the rest are the
-// runtime's cooperative checkpoint stages.
-type deadlineCounters struct {
-	queue, syncStage, hit, verify, wait, update, other atomic.Int64
-}
+// deadlineStages names the stages a request can give up in, as
+// rendered in gcplus_deadline_exceeded_total{stage}. "wait" is the
+// front-end abandoning still-running shard jobs; "queue" is a shard job
+// finding the deadline already expired before it started; "update" is
+// the update path before commit; the rest are the runtime's cooperative
+// checkpoint stages. "other", last, counts any stage not listed.
+var deadlineStages = [...]string{"queue", "sync", "hit", "verify", "wait", "update", "other"}
 
-func (d *deadlineCounters) bucket(stage string) *atomic.Int64 {
-	switch stage {
-	case "queue":
-		return &d.queue
-	case "sync":
-		return &d.syncStage
-	case "hit":
-		return &d.hit
-	case "verify":
-		return &d.verify
-	case "wait":
-		return &d.wait
-	case "update":
-		return &d.update
+// deadlineCounters tallies deadline expiries, indexed like
+// deadlineStages.
+type deadlineCounters [len(deadlineStages)]atomic.Int64
+
+// deadlineStage returns stage's index in deadlineStages ("other" for an
+// unlisted stage).
+func deadlineStage(stage string) int {
+	if i := slices.Index(deadlineStages[:], stage); i >= 0 {
+		return i
 	}
-	return &d.other
+	return len(deadlineStages) - 1
 }
 
-func (d *deadlineCounters) total() int64 {
-	return d.queue.Load() + d.syncStage.Load() + d.hit.Load() +
-		d.verify.Load() + d.wait.Load() + d.update.Load() + d.other.Load()
+// load snapshots every stage's count.
+func (d *deadlineCounters) load() (by [len(deadlineStages)]int64) {
+	for i := range d {
+		by[i] = d[i].Load()
+	}
+	return by
 }
 
 // noteDeadline records a deadline expiry if err is one (first-error-wins
@@ -461,7 +458,7 @@ func (d *deadlineCounters) total() int64 {
 func (s *Server) noteDeadline(err error) {
 	var ce *core.CancelError
 	if errors.As(err, &ce) {
-		s.deadlines.bucket(ce.Stage).Add(1)
+		s.deadlines[deadlineStage(ce.Stage)].Add(1)
 	}
 }
 
@@ -1367,9 +1364,9 @@ type Stats struct {
 	// DeadlineExceeded counts requests that expired their deadline (HTTP
 	// 504); the per-stage split is on /metrics.
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
-	// deadlineByStage feeds the labeled /metrics series (not part of the
-	// JSON surface; the total above is).
-	deadlineByStage map[string]int64
+	// deadlineByStage, indexed like deadlineStages, feeds the labeled
+	// /metrics series (not part of the JSON surface; the total above is).
+	deadlineByStage [len(deadlineStages)]int64
 
 	// UptimeSec is the seconds since this process built the server —
 	// monotonic (measured on the runtime's monotonic clock), so ops
@@ -1466,25 +1463,16 @@ func (s *Server) Stats() (*Stats, error) {
 
 	now := s.now()
 	out := &Stats{
-		Epoch:            epoch,
-		Shards:           len(s.hosts),
-		Transport:        s.transportKind,
-		PerShard:         per,
-		GoVersion:        runtime.Version(),
-		ModuleVersion:    buildVersion,
-		DegradationMode:  DegradeNone.String(),
-		ShedQueries:      s.shedQueries.Load(),
-		ShedUpdates:      s.shedUpdates.Load(),
-		DeadlineExceeded: s.deadlines.total(),
-		deadlineByStage: map[string]int64{
-			"queue":  s.deadlines.queue.Load(),
-			"sync":   s.deadlines.syncStage.Load(),
-			"hit":    s.deadlines.hit.Load(),
-			"verify": s.deadlines.verify.Load(),
-			"wait":   s.deadlines.wait.Load(),
-			"update": s.deadlines.update.Load(),
-			"other":  s.deadlines.other.Load(),
-		},
+		Epoch:           epoch,
+		Shards:          len(s.hosts),
+		Transport:       s.transportKind,
+		PerShard:        per,
+		GoVersion:       runtime.Version(),
+		ModuleVersion:   buildVersion,
+		DegradationMode: DegradeNone.String(),
+		ShedQueries:     s.shedQueries.Load(),
+		ShedUpdates:     s.shedUpdates.Load(),
+		deadlineByStage: s.deadlines.load(),
 	}
 	if d := now.Sub(s.started); d > 0 { // clamp under clock-skew injection
 		out.UptimeSec = d.Seconds()
@@ -1519,6 +1507,9 @@ func (s *Server) Stats() (*Stats, error) {
 		}
 	}
 	out.SlowQueries = s.slow.captured()
+	for _, n := range out.deadlineByStage {
+		out.DeadlineExceeded += n
+	}
 	for _, ss := range per {
 		out.WALBytes += ss.WALBytes
 		out.WALAppends += ss.WALAppends
